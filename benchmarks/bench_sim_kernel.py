@@ -18,6 +18,10 @@ document (written to ``BENCH_sim_kernel.json`` at the repo root):
   drain order asserted identical untimed, plus a mass-cancellation drain
   exercising lazy-deletion compaction.  Batching must be >= 1.0x or the
   path has regressed;
+* ``weighted_draw`` — microseconds per weighted transaction-type draw,
+  ``Generator.choice(n, p=p)`` vs :func:`weighted_index` over a
+  prebuilt :func:`weighted_cdf` (the OLTP client and arrival hot path),
+  index sequences asserted identical untimed.  Must be >= 3x;
 * ``fig2_mini`` — a short serial ASDB core sweep timed end to end
   (``points_per_second`` is the number the perf-smoke regression check
   tracks across commits).
@@ -49,7 +53,9 @@ from repro.hardware.counters import (
     SSD_WRITE_BYTES,
 )
 from repro.sim.events import EventLoop
+from repro.sim.randomness import weighted_cdf, weighted_index
 from repro.units import MIB
+from repro.workloads import make_workload
 from repro.workloads.profiles import execution_profile
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -60,6 +66,7 @@ MRC_POINTS = 4000
 ROLLUP_TICKS = 100_000      # simulated seconds of counter samples
 ROLLUP_PASSES = 50          # report-style repeated queries per series
 EVENT_COUNT = 30_000
+DRAW_COUNT = 20_000
 
 
 def _best_of(repeats, fn):
@@ -225,6 +232,34 @@ def bench_events():
     }
 
 
+def bench_weighted_draw():
+    """numpy's weighted ``choice`` vs a bisect over a prebuilt CDF."""
+    weights = np.array([t.weight for t in
+                        make_workload("asdb", 2000).transaction_types()])
+    p = weights / weights.sum()
+    cdf = weighted_cdf(p)
+    n = len(p)
+
+    def numpy_choice():
+        rng = np.random.default_rng(0)
+        return [int(rng.choice(n, p=p)) for _ in range(DRAW_COUNT)]
+
+    def bisect_cdf():
+        rng = np.random.default_rng(0)
+        return [weighted_index(rng, cdf) for _ in range(DRAW_COUNT)]
+
+    choice_seconds = _best_of(3, numpy_choice)
+    bisect_seconds = _best_of(3, bisect_cdf)
+    assert numpy_choice() == bisect_cdf(), (
+        "weighted_index drew a different index sequence than choice")
+    return {
+        "draws": DRAW_COUNT,
+        "choice_us": round(choice_seconds / DRAW_COUNT * 1e6, 3),
+        "weighted_index_us": round(bisect_seconds / DRAW_COUNT * 1e6, 3),
+        "speedup": round(choice_seconds / bisect_seconds, 1),
+    }
+
+
 def bench_fig2_mini(duration_scale):
     """End-to-end serial guard: a short ASDB core sweep (the Fig 2 path)."""
     configs = list(core_sweep("asdb", 2000, duration_scale=duration_scale))
@@ -244,12 +279,13 @@ def run_kernel_study(duration_scale):
         "mrc": bench_mrc(),
         "counter_rollup": bench_counter_rollup(),
         "events": bench_events(),
+        "weighted_draw": bench_weighted_draw(),
         "fig2_mini": bench_fig2_mini(duration_scale * 0.5),
     }
 
 
 def check_report(report):
-    """Acceptance bars for the vectorized kernel."""
+    """Acceptance bars for the vectorized kernel and the weighted draw."""
     mrc = report["mrc"]
     assert mrc["speedup"] >= 2.0, (
         f"mpki_array only {mrc['speedup']}x faster than scalar mpki"
@@ -266,6 +302,10 @@ def check_report(report):
     assert events["batch_speedup"] >= 1.0, (
         f"schedule_batch slower than per-event scheduling "
         f"({events['batch_speedup']}x) — batching must win or be removed"
+    )
+    draw = report["weighted_draw"]
+    assert draw["speedup"] >= 3.0, (
+        f"weighted_index only {draw['speedup']}x faster than choice"
     )
 
 

@@ -10,7 +10,7 @@ Two classes of check:
 
 * **Machine-relative ratios** (always applied): dispatch overhead under
   10% of serial sweep cost, vectorized MRC and counter rollups >= 2x,
-  compaction observed, warm cache >= 10x.  These are robust across
+  compaction observed, weighted draws >= 3x, warm cache >= 10x.  These are robust across
   machines because both sides of each ratio ran on the same host.
 * **Cross-commit regression** (only with ``--baseline-kernel``): the
   fresh ``fig2_mini.points_per_second`` must be at least
@@ -112,6 +112,8 @@ def main(argv=None):
     bench_sim_kernel.check_report(kernel)
     print(f"perf-smoke: MRC {kernel['mrc']['speedup']}x, "
           f"counter rollup {kernel['counter_rollup']['speedup']}x, "
+          f"weighted draw {kernel['weighted_draw']['speedup']}x "
+          f"(floor 3x), "
           f"{kernel['events']['compactions']} compaction(s)")
 
     if args.baseline_kernel:

@@ -154,13 +154,17 @@ def diminishing_returns(xs: Sequence[float], ys: Sequence[float]) -> bool:
 def wait_ratio_table(
     small_sf_waits: Dict, large_sf_waits: Dict
 ) -> Dict[str, float]:
-    """Table 3: per-wait-type ratios, large SF relative to small SF."""
+    """Table 3: per-wait-type ratios, large SF relative to small SF.
+
+    A wait type seen at neither scale factor has no ratio (0/0) and is
+    left out; one seen only at the large scale factor is ``inf``.
+    """
     ratios: Dict[str, float] = {}
     for wait_type, small_value in small_sf_waits.items():
         large_value = large_sf_waits.get(wait_type, 0.0)
         name = getattr(wait_type, "value", str(wait_type))
         if small_value > 0:
             ratios[name] = large_value / small_value
-        else:
-            ratios[name] = float("inf") if large_value > 0 else float("nan")
+        elif large_value > 0:
+            ratios[name] = float("inf")
     return ratios

@@ -55,7 +55,7 @@ from repro.fleet.health import FailoverController, HeartbeatMonitor
 from repro.fleet.replicas import Replica, ReplicaGroup
 from repro.hardware.machine import Machine, MachineSpec
 from repro.sim.process import Simulator, Timeout
-from repro.sim.randomness import RandomStreams
+from repro.sim.randomness import RandomStreams, weighted_cdf, weighted_index
 from repro.sim.stats import Cdf
 from repro.workloads import make_workload
 from repro.workloads.arrivals import ArrivalSpec
@@ -419,7 +419,13 @@ class FleetCluster:
             self._build_shard(ready_at=0.0)
         # -- tenant state --------------------------------------------------------
         weights = np.array([t.weight for t in spec.tenants], dtype=float)
-        self._tenant_weights = weights / weights.sum()
+        self._tenant_cdf = weighted_cdf(weights / weights.sum())
+        #: Admission bound per priority class (the capacity is fixed for
+        #: the cluster's lifetime, so each class's watermark is too).
+        self._watermarks: Dict[int, int] = {
+            t.priority: priority_watermark(t.priority, self.capacity_per_shard)
+            for t in spec.tenants
+        }
         self._buckets: Dict[str, _TokenBucket] = {}
         for tenant in spec.tenants:
             if tenant.rate_limit_tps > 0:
@@ -525,10 +531,11 @@ class FleetCluster:
     def _place(self, priority: int) -> Optional[_Shard]:
         """Least-loaded ready shard that still admits this priority
         class (deterministic: ties break to the lowest index)."""
+        watermark = self._watermarks[priority]
+        now = self.sim.now
         best = None
-        for shard in self.ready_shards():
-            if shard.in_flight >= priority_watermark(priority,
-                                                     self.capacity_per_shard):
+        for shard in self.shards:
+            if shard.in_flight >= watermark or not shard.ready(now):
                 continue
             if best is None or shard.in_flight < best.in_flight:
                 best = shard
@@ -546,7 +553,7 @@ class FleetCluster:
         peak = trace.peak_rate() if trace is not None else offered
         types = self.workload.transaction_types()
         type_weights = np.array([t.weight for t in types], dtype=float)
-        type_weights /= type_weights.sum()
+        type_cdf = weighted_cdf(type_weights / type_weights.sum())
         tenants = spec.tenants
         while self.sim.now < until:
             gap = (1.0 / offered if deterministic
@@ -555,10 +562,9 @@ class FleetCluster:
             if self.sim.now >= until:
                 break
             if trace is not None:
-                if float(rng.uniform()) * peak > trace.rate_at(self.sim.now):
+                if rng.random() * peak > trace.rate_at(self.sim.now):
                     continue
-            tenant = tenants[int(rng.choice(len(tenants),
-                                            p=self._tenant_weights))]
+            tenant = tenants[weighted_index(rng, self._tenant_cdf)]
             self.arrivals += 1
             self.tenant_arrivals[tenant.name] += 1
             bucket = self._buckets.get(tenant.name)
@@ -569,7 +575,7 @@ class FleetCluster:
             if shard is None:
                 self._shed(tenant)
                 continue
-            txn_type = types[int(rng.choice(len(types), p=type_weights))]
+            txn_type = types[weighted_index(rng, type_cdf)]
             demand = self.workload.build_demand(shard.engine, txn_type, rng)
             shard.in_flight += 1
             shard.in_flight_peak = max(shard.in_flight_peak, shard.in_flight)

@@ -9,7 +9,8 @@ configurations (common random numbers for variance reduction in sweeps).
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+from bisect import bisect_right
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -42,3 +43,26 @@ class RandomStreams:
         """Derive an independent family of streams (e.g. per experiment)."""
         digest = hashlib.sha256(f"{self.seed}:fork:{salt}".encode()).digest()
         return RandomStreams(seed=int.from_bytes(digest[:8], "little"))
+
+
+def weighted_cdf(p: Sequence[float]) -> List[float]:
+    """The cumulative distribution of the normalised weights *p*, built
+    exactly as :meth:`numpy.random.Generator.choice` builds it (cumsum,
+    then divide by the last element), as a list for :func:`bisect_right`.
+
+    Build it once, outside the loop that draws from it.
+    """
+    cdf = np.asarray(p, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def weighted_index(rng: np.random.Generator, cdf: List[float]) -> int:
+    """Draw an index from :func:`weighted_cdf` output.
+
+    Identical to ``rng.choice(len(p), p=p)`` — numpy's weighted draw is
+    ``cdf.searchsorted(rng.random(), side="right")`` — so it returns the
+    same index from the same single double and leaves the stream in the
+    same state, without numpy's per-call argument checking.
+    """
+    return bisect_right(cdf, rng.random())

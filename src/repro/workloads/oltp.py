@@ -25,6 +25,7 @@ from repro.engine.engine import SqlEngine
 from repro.engine.executor import ContentionPoint, TransactionDemand
 from repro.engine.locks import WaitType
 from repro.errors import WorkloadError
+from repro.sim.randomness import weighted_cdf, weighted_index
 from repro.workloads.base import ThroughputTracker, Workload
 
 
@@ -113,9 +114,9 @@ class OltpWorkloadBase(Workload):
         sim = engine.machine.sim
         types = self.transaction_types()
         weights = np.array([t.weight for t in types], dtype=float)
-        weights /= weights.sum()
+        cdf = weighted_cdf(weights / weights.sum())
         while sim.now < until:
-            txn_type = types[rng.choice(len(types), p=weights)]
+            txn_type = types[weighted_index(rng, cdf)]
             demand = self.build_demand(engine, txn_type, rng)
             result = yield from engine.run_transaction(demand)
             tracker.record("txn", result.elapsed)

@@ -151,3 +151,10 @@ class TestWaitRatios:
     def test_zero_baseline_gives_inf(self):
         ratios = wait_ratio_table({WaitType.LOCK: 0.0}, {WaitType.LOCK: 1.0})
         assert ratios["LOCK"] == float("inf")
+
+    def test_waits_absent_at_both_scales_are_left_out(self):
+        small = {WaitType.LOCK: 2.0, WaitType.LATCH: 0.0,
+                 WaitType.PAGELATCH: 0.0}
+        large = {WaitType.LOCK: 1.0, WaitType.PAGELATCH: 0.0}
+        ratios = wait_ratio_table(small, large)
+        assert ratios == {"LOCK": 0.5}

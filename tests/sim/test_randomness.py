@@ -1,6 +1,11 @@
-"""Tests for deterministic random streams."""
+"""Tests for deterministic random streams and weighted draws."""
 
-from repro.sim.randomness import RandomStreams
+import numpy as np
+import pytest
+
+from repro.fleet.cluster import default_tenants
+from repro.sim.randomness import RandomStreams, weighted_cdf, weighted_index
+from repro.workloads import make_workload
 
 
 def test_same_name_same_stream_object():
@@ -45,3 +50,44 @@ def test_fork_creates_independent_family():
     same_fork = RandomStreams(seed=3).fork("experiment-1")
     assert fork1.get("x").random(3).tolist() == same_fork.get("x").random(3).tolist()
     assert fork1.get("x").random(3).tolist() != fork2.get("x").random(3).tolist()
+
+
+# -- weighted draws ------------------------------------------------------------
+
+
+def _normalised(weights):
+    weights = np.array(weights, dtype=float)
+    return weights / weights.sum()
+
+
+WEIGHT_MIXES = {
+    "asdb": [t.weight for t in make_workload("asdb", 2000).transaction_types()],
+    "tpce": [t.weight for t in make_workload("tpce", 5000).transaction_types()],
+    "htap": [t.weight for t in make_workload("htap", 5000).transaction_types()],
+    "tenants": [t.weight for t in default_tenants(4)],
+}
+SEEDS = (0, 1, 2)
+#: 4 mixes x 3 seeds x 17k = 204k draws compared in total.
+DRAWS = 17_000
+
+
+@pytest.mark.parametrize("mix", sorted(WEIGHT_MIXES))
+def test_weighted_index_matches_numpy_choice(mix):
+    p = _normalised(WEIGHT_MIXES[mix])
+    cdf = weighted_cdf(p)
+    for seed in SEEDS:
+        reference = np.random.default_rng(seed)
+        fast = np.random.default_rng(seed)
+        expected = [int(reference.choice(len(p), p=p)) for _ in range(DRAWS)]
+        got = [weighted_index(fast, cdf) for _ in range(DRAWS)]
+        assert got == expected
+        # One double per draw on both sides: the streams stay aligned.
+        assert fast.random() == reference.random()
+
+
+def test_uniform_and_random_draw_the_same_doubles():
+    for seed in SEEDS:
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert ([float(a.uniform()) for _ in range(50_000)]
+                == [b.random() for _ in range(50_000)])
+        assert a.random() == b.random()
