@@ -22,6 +22,12 @@ document (written to ``BENCH_sim_kernel.json`` at the repo root):
   ``Generator.choice(n, p=p)`` vs :func:`weighted_index` over a
   prebuilt :func:`weighted_cdf` (the OLTP client and arrival hot path),
   index sequences asserted identical untimed.  Must be >= 3x;
+* ``waterfill`` — a synthetic churn of ~100 concurrent capped jobs on
+  the shared core pool (:class:`WaterfillServer`, the OLAP/HTAP hot
+  path): microseconds per submit, and the server's events scheduled
+  per completion, a deterministic count.  The server arms one pending
+  event, so that count is ~2 (one per re-plan); re-arming every job on
+  every re-plan would make it ~2n.  Must be <= 3;
 * ``fig2_mini`` — a short serial ASDB core sweep timed end to end
   (``points_per_second`` is the number the perf-smoke regression check
   tracks across commits).
@@ -53,7 +59,9 @@ from repro.hardware.counters import (
     SSD_WRITE_BYTES,
 )
 from repro.sim.events import EventLoop
+from repro.sim.process import Simulator
 from repro.sim.randomness import weighted_cdf, weighted_index
+from repro.sim.waterfill import WaterfillServer
 from repro.units import MIB
 from repro.workloads import make_workload
 from repro.workloads.profiles import execution_profile
@@ -67,6 +75,10 @@ ROLLUP_TICKS = 100_000      # simulated seconds of counter samples
 ROLLUP_PASSES = 50          # report-style repeated queries per series
 EVENT_COUNT = 30_000
 DRAW_COUNT = 20_000
+WATERFILL_SUBMITS = 5_000
+WATERFILL_BURST = 60        # jobs at t=0; ~100 active on average
+WATERFILL_CAPACITY = 32.0
+WATERFILL_CAPS = (1.0, 2.0, 4.0, 8.0, 1.0, 16.0)
 
 
 def _best_of(repeats, fn):
@@ -260,6 +272,60 @@ def bench_weighted_draw():
     }
 
 
+class _CountingLoop(EventLoop):
+    """Counts ``schedule_at`` calls; ``schedule_batch`` is not counted."""
+
+    def __init__(self):
+        super().__init__()
+        self.scheduled = 0
+
+    def schedule_at(self, time, callback, payload=None):
+        self.scheduled += 1
+        return super().schedule_at(time, callback, payload)
+
+
+def _waterfill_churn(loop_cls=EventLoop):
+    """Drive a WaterfillServer through a deterministic open-loop churn.
+
+    ``WATERFILL_BURST`` jobs arrive at t=0 and the rest arrive at the
+    pool's mean service rate; long jobs pile up behind short ones, so
+    about 100 are active on average (``mean_active_at_submit``).  The
+    arrivals go in with one ``schedule_batch`` and the jobs are driven
+    without processes, so every ``schedule_at`` call is the server's.
+    """
+    jobs = [(0.25 + ((i * 7919) % 1000) / 400.0,
+             WATERFILL_CAPS[i % len(WATERFILL_CAPS)])
+            for i in range(WATERFILL_SUBMITS)]
+    spacing = sum(work for work, _ in jobs) / len(jobs) / WATERFILL_CAPACITY
+    sim = Simulator()
+    sim.loop = loop_cls()
+    server = WaterfillServer(sim, capacity=WATERFILL_CAPACITY)
+    active = []
+
+    def arrive(ev):
+        active.append(server.active_jobs)
+        next(server.submit(*ev.payload))
+
+    sim.loop.schedule_batch(
+        (max(0, i - WATERFILL_BURST) * spacing, arrive, job)
+        for i, job in enumerate(jobs))
+    sim.run()
+    assert server.active_jobs == 0, "churn left jobs unfinished"
+    return sim.loop, sum(active) / len(active)
+
+
+def bench_waterfill():
+    """Per-submit cost and event economy of the shared core pool."""
+    seconds = _best_of(3, _waterfill_churn)
+    loop, mean_active = _waterfill_churn(_CountingLoop)
+    return {
+        "submits": WATERFILL_SUBMITS,
+        "mean_active_at_submit": round(mean_active, 1),
+        "us_per_submit": round(seconds / WATERFILL_SUBMITS * 1e6, 2),
+        "events_per_completion": round(loop.scheduled / WATERFILL_SUBMITS, 3),
+    }
+
+
 def bench_fig2_mini(duration_scale):
     """End-to-end serial guard: a short ASDB core sweep (the Fig 2 path)."""
     configs = list(core_sweep("asdb", 2000, duration_scale=duration_scale))
@@ -280,12 +346,14 @@ def run_kernel_study(duration_scale):
         "counter_rollup": bench_counter_rollup(),
         "events": bench_events(),
         "weighted_draw": bench_weighted_draw(),
+        "waterfill": bench_waterfill(),
         "fig2_mini": bench_fig2_mini(duration_scale * 0.5),
     }
 
 
 def check_report(report):
-    """Acceptance bars for the vectorized kernel and the weighted draw."""
+    """Acceptance bars for the vectorized kernel, the weighted draw and
+    the core pool's event economy."""
     mrc = report["mrc"]
     assert mrc["speedup"] >= 2.0, (
         f"mpki_array only {mrc['speedup']}x faster than scalar mpki"
@@ -306,6 +374,12 @@ def check_report(report):
     draw = report["weighted_draw"]
     assert draw["speedup"] >= 3.0, (
         f"weighted_index only {draw['speedup']}x faster than choice"
+    )
+    waterfill = report["waterfill"]
+    assert waterfill["events_per_completion"] <= 3.0, (
+        f"waterfill scheduled {waterfill['events_per_completion']} events "
+        f"per completion — the core pool must arm one event per re-plan, "
+        f"not one per active job"
     )
 
 

@@ -10,7 +10,8 @@ Two classes of check:
 
 * **Machine-relative ratios** (always applied): dispatch overhead under
   10% of serial sweep cost, vectorized MRC and counter rollups >= 2x,
-  compaction observed, weighted draws >= 3x, warm cache >= 10x.  These are robust across
+  compaction observed, weighted draws >= 3x, warm cache >= 10x, the
+  water-filling core pool <= 3 events scheduled per completion.  These are robust across
   machines because both sides of each ratio ran on the same host.
 * **Cross-commit regression** (only with ``--baseline-kernel``): the
   fresh ``fig2_mini.points_per_second`` must be at least
@@ -114,7 +115,9 @@ def main(argv=None):
           f"counter rollup {kernel['counter_rollup']['speedup']}x, "
           f"weighted draw {kernel['weighted_draw']['speedup']}x "
           f"(floor 3x), "
-          f"{kernel['events']['compactions']} compaction(s)")
+          f"{kernel['events']['compactions']} compaction(s), "
+          f"waterfill {kernel['waterfill']['events_per_completion']} "
+          f"events/completion (limit 3)")
 
     if args.baseline_kernel:
         allowed = float(os.environ.get("PERF_SMOKE_ALLOWED_REGRESSION", "0.8"))

@@ -6,13 +6,17 @@ breaker so that events scheduled at the same instant fire in FIFO order and
 runs are fully deterministic.
 
 Cancelled events are removed lazily: :meth:`Event.cancel` only sets a flag,
-and the loop skips flagged entries as they surface at the heap top.  Reschedule-
-heavy servers (the waterfill bandwidth model re-plans every active job on
-every change) can flood the heap with corpses, so the loop counts live
-cancellations and *compacts* — rebuilds and re-heapifies the live entries —
-once corpses outnumber half the heap.  :meth:`EventLoop.schedule_batch`
-amortizes bulk scheduling (N client start-ups, a tick train) into one
-heapify instead of N pushes where that is cheaper.
+and the loop skips flagged entries as they surface at the heap top.  The
+fluid servers (:class:`~repro.sim.waterfill.WaterfillServer`,
+:class:`~repro.sim.resources.ProcessorSharingServer`) keep one pending
+completion event each, so a re-plan cancels at most one entry and no
+longer floods the heap.  Timers (grant-wait timeouts, token-bucket
+refills) still cancel wakeups, so the loop counts live cancellations and
+*compacts* — rebuilds and re-heapifies the live entries — once corpses
+outnumber half the heap.
+:meth:`EventLoop.schedule_batch` amortizes bulk scheduling (N client
+start-ups, a tick train) into one heapify instead of N pushes where that
+is cheaper.
 """
 
 from __future__ import annotations

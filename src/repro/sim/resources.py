@@ -13,10 +13,12 @@ need:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque, Dict, Generator, Optional
 
 from repro.errors import SimulationError
+from repro.sim.events import Event
 from repro.sim.process import Simulator, Timeout, WaitEvent
 
 
@@ -92,17 +94,17 @@ class ProcessorSharingServer:
 
     A job submits an amount of *work* (in capacity-units × seconds at full
     speed).  While *n* jobs are active each receives ``capacity / n`` of the
-    rate.  Completion times are recomputed whenever the active set changes,
-    which makes the model exact for egalitarian processor sharing.
+    rate.  Every change to the active set re-plans and arms a single
+    completion event, for the job that finishes first, which makes the
+    model exact for egalitarian processor sharing.
     """
 
     class _Job:
-        __slots__ = ("remaining", "gate", "event")
+        __slots__ = ("remaining", "gate")
 
         def __init__(self, remaining: float, gate: WaitEvent):
             self.remaining = remaining
             self.gate = gate
-            self.event = None
 
     def __init__(self, sim: Simulator, capacity: float, name: str = "ps"):
         if capacity <= 0:
@@ -114,6 +116,7 @@ class ProcessorSharingServer:
         self._next_id = 0
         self._last_update = 0.0
         self.total_work_done = 0.0
+        self._event: Optional[Event] = None  # the one pending completion
 
     @property
     def active_jobs(self) -> int:
@@ -136,21 +139,32 @@ class ProcessorSharingServer:
         self._last_update = now
 
     def _reschedule(self) -> None:
-        """Re-arm each job's completion event for the new sharing rate."""
+        """Arm one completion event for the job that finishes first.
+
+        Ties go to the earliest-submitted job, as
+        :meth:`repro.sim.waterfill.WaterfillServer._reschedule` explains.
+        """
+        if self._event is not None:
+            self._event.cancel()
+            self._event = None
+        if not self._jobs:
+            return
         rate = self._rate_per_job()
-        for job_id, job in list(self._jobs.items()):
-            if job.event is not None:
-                job.event.cancel()
-            delay = job.remaining / rate if rate > 0 else float("inf")
-            job.event = self._sim.loop.schedule_after(
-                delay, lambda ev, jid=job_id: self._complete(jid)
-            )
+        loop = self._sim.loop
+        now = loop.now
+        first_id = next(iter(self._jobs))
+        first_time = math.inf
+        for job_id, job in self._jobs.items():
+            when = now + (job.remaining / rate if rate > 0 else math.inf)
+            if when < first_time:
+                first_id, first_time = job_id, when
+        self._event = loop.schedule_at(
+            first_time, lambda ev, jid=first_id: self._complete(jid)
+        )
 
     def _complete(self, job_id: int) -> None:
         self._advance()
-        job = self._jobs.pop(job_id, None)
-        if job is None:
-            return
+        job = self._jobs.pop(job_id)
         self._reschedule()
         job.gate.trigger()
 

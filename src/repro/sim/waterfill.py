@@ -9,9 +9,11 @@ and redistribute the share that capped jobs cannot use among the rest.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Generator, List, Optional, Sequence
 
 from repro.errors import SimulationError
+from repro.sim.events import Event
 from repro.sim.process import Simulator, WaitEvent
 
 
@@ -64,18 +66,19 @@ class WaterfillServer:
     """Processor-sharing server with per-job rate caps.
 
     Jobs submit an amount of work and a cap on the rate at which they may
-    be served.  At any instant rates follow :func:`waterfill`.  Completion
-    events are recomputed whenever the active set changes.
+    be served.  At any instant rates follow :func:`waterfill`.  Every
+    change to the job set or the capacity re-plans the rates and arms a
+    single completion event, for the job that finishes first; when it
+    fires, that job completes and the server re-plans again.
     """
 
     class _Job:
-        __slots__ = ("remaining", "cap", "gate", "event")
+        __slots__ = ("remaining", "cap", "gate")
 
         def __init__(self, remaining: float, cap: float, gate: WaitEvent):
             self.remaining = remaining
             self.cap = cap
             self.gate = gate
-            self.event = None
 
     def __init__(self, sim: Simulator, capacity: float, name: str = "waterfill"):
         if capacity <= 0:
@@ -87,7 +90,11 @@ class WaterfillServer:
         self._next_id = 0
         self._last_update = 0.0
         self.total_work_done = 0.0
-        self._busy_time_area = 0.0  # integral of (work rate) over time
+        # Rates from the last re-plan, in job order.  Every change to the
+        # job set or the capacity goes _advance -> mutate -> _reschedule,
+        # so between re-plans these are exactly what waterfill() returns.
+        self._current_rates: Dict[int, float] = {}
+        self._event: Optional[Event] = None  # the one pending completion
 
     @property
     def capacity(self) -> float:
@@ -114,7 +121,7 @@ class WaterfillServer:
         self._advance()
         if end_time <= 0:
             return 0.0
-        return self._busy_time_area / (self._capacity * end_time)
+        return self.total_work_done / (self._capacity * end_time)
 
     def _rates(self) -> Dict[int, float]:
         ids = list(self._jobs.keys())
@@ -126,30 +133,42 @@ class WaterfillServer:
         now = self._sim.now
         elapsed = now - self._last_update
         if elapsed > 0 and self._jobs:
-            for job_id, rate in self._rates().items():
+            for job_id, rate in self._current_rates.items():
                 job = self._jobs[job_id]
                 done = rate * elapsed
                 job.remaining = max(0.0, job.remaining - done)
                 self.total_work_done += done
-                self._busy_time_area += done
         self._last_update = now
 
     def _reschedule(self) -> None:
-        rates = self._rates()
-        for job_id, job in list(self._jobs.items()):
-            if job.event is not None:
-                job.event.cancel()
-            rate = rates.get(job_id, 0.0)
-            delay = job.remaining / rate if rate > 0 else float("inf")
-            job.event = self._sim.loop.schedule_after(
-                delay, lambda ev, jid=job_id: self._complete(jid)
-            )
+        """Re-plan rates and arm one event for the first job to finish.
+
+        Ties go to the earliest-submitted job, which is the job whose
+        event would fire first if every job had its own event armed in
+        submission order: same instant, lowest sequence number.
+        """
+        if self._event is not None:
+            self._event.cancel()
+            self._event = None
+        rates = self._current_rates = self._rates()
+        if not rates:
+            return
+        loop = self._sim.loop
+        now = loop.now
+        jobs = self._jobs
+        first_id = next(iter(rates))
+        first_time = math.inf
+        for job_id, rate in rates.items():
+            when = now + (jobs[job_id].remaining / rate if rate > 0 else math.inf)
+            if when < first_time:
+                first_id, first_time = job_id, when
+        self._event = loop.schedule_at(
+            first_time, lambda ev, jid=first_id: self._complete(jid)
+        )
 
     def _complete(self, job_id: int) -> None:
         self._advance()
-        job = self._jobs.pop(job_id, None)
-        if job is None:
-            return
+        job = self._jobs.pop(job_id)
         self._reschedule()
         job.gate.trigger()
 

@@ -1,13 +1,20 @@
-"""Golden digests for the transaction and arrival hot path.
+"""Golden digests for the transaction, arrival and core-pool hot paths.
 
 Every simulated transaction and every open-loop arrival draws a
-transaction type (and, with tenants, a tenant) from a weighted mix.  The
-draw helpers are performance-tuned, so this module pins sha256 digests of
-short end-to-end runs that go through every weighted-draw call site:
+transaction type (and, with tenants, a tenant) from a weighted mix, and
+every analytical query runs on the water-filling core pool
+(:class:`~repro.sim.waterfill.WaterfillServer`).  Both paths are
+performance-tuned, so this module pins sha256 digests of short
+end-to-end runs that go through every weighted-draw call site and every
+core-pool re-plan trigger:
 
 * three closed-loop points (OLTP client loop): an ASDB core point, a
   TPC-E LLC point and an HTAP point — digest of the pickled
   :class:`~repro.core.measurement.Measurement` (protocol 4);
+* two TPC-H points on the core pool, same digest: a MAXDOP 4 point on
+  32 cores, where the DOP > 1 rate caps bind in ``waterfill()``, and a
+  point with a mid-run ``CoreOffline`` fault, which re-plans through
+  ``set_capacity``;
 * one fleet run with a rate-limited tenant, autoscaling and a diurnal
   trace (fleet arrivals, thinning and placement) — ``FleetReport.digest``;
 * one multi-tenant :class:`~repro.workloads.arrivals.OpenLoopDriver` run
@@ -33,6 +40,7 @@ from repro.core.knobs import ResourceAllocation
 from repro.engine.engine import SqlEngine
 from repro.engine.resource_governor import ResourceGovernor
 from repro.fleet.autoscale import AutoscalePolicy
+from repro.faults.spec import CoreOffline
 from repro.fleet.cluster import FleetSpec, default_tenants, run_fleet
 from repro.hardware.machine import Machine
 from repro.workloads.arrivals import ArrivalSpec, OpenLoopDriver, TenantTraffic
@@ -50,6 +58,14 @@ POINTS = {
         workload="htap", scale_factor=5000,
         allocation=ResourceAllocation(logical_cores=32, llc_mb=40),
         duration=0.6),
+    "tpch-maxdop": ExperimentConfig(
+        workload="tpch", scale_factor=10,
+        allocation=ResourceAllocation(logical_cores=32, max_dop=4),
+        duration=60.0),
+    "tpch-offline": ExperimentConfig(
+        workload="tpch", scale_factor=10,
+        allocation=ResourceAllocation(logical_cores=32), duration=60.0,
+        faults=(CoreOffline(at=20.0, remaining_logical=8, duration=20.0),)),
 }
 
 GOLDEN_POINTS = {
@@ -59,6 +75,10 @@ GOLDEN_POINTS = {
         "690dc7efe3025bba07299ce78bfa8bfe112253c37b818dff44d705ca00456f05",
     "htap":
         "f88f26222f692180b6b03dc8a98d1bbc073e06f3ffdb369f8ab10ce51e7865d0",
+    "tpch-maxdop":
+        "3add6536f4e5c99ada057f9b72e2de2555a38edb16ab27da3b9c4909b21c9502",
+    "tpch-offline":
+        "55a02f4f59344698b600ab40c386546cfae9da728907d8e935b2b04738e06a91",
 }
 
 GOLDEN_FLEET = (

@@ -1,8 +1,9 @@
 """Tests for the water-filling capped-share server."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.errors import SimulationError
 from repro.sim.process import Simulator, Timeout
 from repro.sim.waterfill import WaterfillServer, waterfill
 
@@ -165,3 +166,196 @@ class TestWaterfillServerProperties:
         proc = sim.spawn(worker())
         sim.run()
         assert proc.result == pytest.approx(8.0 / min(cap, 4.0), rel=1e-6)
+
+
+class PerJobWaterfillServer:
+    """Oracle: the water-filling server with one completion event per job.
+
+    This is the scheme :class:`WaterfillServer` replaced: every re-plan
+    cancels and re-arms the completion event of every active job.  The
+    single-event server must reproduce its completions, work accounting
+    and utilization exactly.
+    """
+
+    class _Job:
+        __slots__ = ("remaining", "cap", "gate", "event")
+
+        def __init__(self, remaining, cap, gate):
+            self.remaining = remaining
+            self.cap = cap
+            self.gate = gate
+            self.event = None
+
+    def __init__(self, sim, capacity, name="waterfill"):
+        if capacity <= 0:
+            raise SimulationError(f"{name}: capacity must be positive")
+        self._sim = sim
+        self._capacity = capacity
+        self.name = name
+        self._jobs = {}
+        self._next_id = 0
+        self._last_update = 0.0
+        self.total_work_done = 0.0
+        self._busy_time_area = 0.0
+
+    def set_capacity(self, capacity):
+        self._advance()
+        self._capacity = capacity
+        self._reschedule()
+
+    def utilization(self, end_time):
+        self._advance()
+        if end_time <= 0:
+            return 0.0
+        return self._busy_time_area / (self._capacity * end_time)
+
+    def _rates(self):
+        ids = list(self._jobs.keys())
+        caps = [self._jobs[i].cap for i in ids]
+        rates = waterfill(self._capacity, caps)
+        return dict(zip(ids, rates))
+
+    def _advance(self):
+        now = self._sim.now
+        elapsed = now - self._last_update
+        if elapsed > 0 and self._jobs:
+            for job_id, rate in self._rates().items():
+                job = self._jobs[job_id]
+                done = rate * elapsed
+                job.remaining = max(0.0, job.remaining - done)
+                self.total_work_done += done
+                self._busy_time_area += done
+        self._last_update = now
+
+    def _reschedule(self):
+        rates = self._rates()
+        for job_id, job in list(self._jobs.items()):
+            if job.event is not None:
+                job.event.cancel()
+            rate = rates.get(job_id, 0.0)
+            delay = job.remaining / rate if rate > 0 else float("inf")
+            job.event = self._sim.loop.schedule_after(
+                delay, lambda ev, jid=job_id: self._complete(jid)
+            )
+
+    def _complete(self, job_id):
+        self._advance()
+        job = self._jobs.pop(job_id, None)
+        if job is None:
+            return
+        self._reschedule()
+        job.gate.trigger()
+
+    def submit(self, work, cap):
+        if work == 0:
+            return None
+        self._advance()
+        gate = self._sim.event()
+        self._jobs[self._next_id] = PerJobWaterfillServer._Job(work, cap, gate)
+        self._next_id += 1
+        self._reschedule()
+        yield gate
+        return None
+
+
+# Values on a coarse binary grid, so completions, timeouts and capacity
+# changes often land on exactly the same instant.
+_DELAYS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+_WORKS = st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0, 4.0])
+_CAPS = st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0, 8.0, 32.0])
+_CAPACITIES = st.sampled_from([1.0, 2.0, 3.0, 4.0, 8.0])
+
+_SCRIPTS = st.fixed_dictionaries({
+    "capacity": _CAPACITIES,
+    # (start delay, [(work, cap), ...] submitted back to back, copies):
+    # copies > 1 submits identical jobs at the same instant.
+    "workers": st.lists(
+        st.tuples(_DELAYS, st.lists(st.tuples(_WORKS, _CAPS),
+                                    min_size=1, max_size=3),
+                  st.integers(min_value=1, max_value=3)),
+        min_size=1, max_size=8),
+    # Timeouts that only record when they fire.
+    "ticks": st.lists(_DELAYS, max_size=6),
+    # (delay, new capacity) changes mid-flight.
+    "resizes": st.lists(st.tuples(_DELAYS, _CAPACITIES), max_size=3),
+})
+
+
+def _replay(server_cls, script):
+    """Run *script* on a fresh *server_cls*; return what it observed."""
+    sim = Simulator()
+    server = server_cls(sim, capacity=script["capacity"])
+    log = []
+
+    def worker(label, delay, jobs):
+        yield Timeout(delay)
+        for step, (work, cap) in enumerate(jobs):
+            yield from server.submit(work, cap)
+            log.append((sim.now, f"{label}.{step}"))
+
+    def tick(label, delay):
+        yield Timeout(delay)
+        log.append((sim.now, label))
+
+    def resize(label, delay, capacity):
+        yield Timeout(delay)
+        server.set_capacity(capacity)
+        log.append((sim.now, label))
+
+    for w, (delay, jobs, copies) in enumerate(script["workers"]):
+        for copy in range(copies):
+            sim.spawn(worker(f"w{w}c{copy}", delay, jobs))
+    for t, delay in enumerate(script["ticks"]):
+        sim.spawn(tick(f"tick{t}", delay))
+    for r, (delay, capacity) in enumerate(script["resizes"]):
+        sim.spawn(resize(f"resize{r}", delay, capacity))
+    sim.run()
+    end = sim.now
+    return log, server.total_work_done, server.utilization(end), end
+
+
+class TestSingleEventEquivalence:
+    """The single-event server is bit-identical to the per-job oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_SCRIPTS)
+    def test_matches_per_job_oracle(self, script):
+        expected = _replay(PerJobWaterfillServer, script)
+        actual = _replay(WaterfillServer, script)
+        assert actual == expected
+
+    def test_identical_jobs_complete_in_submission_order(self):
+        # Three identical jobs finish at t=1 together with a timeout
+        # armed earlier: the timeout fires first, then the jobs in
+        # submission order.
+        script = {"capacity": 3.0, "ticks": [1.0], "resizes": [],
+                  "workers": [(0.0, [(1.0, 1.0)], 3)]}
+        log, _, _, _ = _replay(WaterfillServer, script)
+        assert log == _replay(PerJobWaterfillServer, script)[0]
+        assert log == [(1.0, "tick0"), (1.0, "w0c0.0"), (1.0, "w0c1.0"),
+                       (1.0, "w0c2.0")]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(_DELAYS, _WORKS, _CAPS), min_size=1, max_size=20),
+        st.lists(st.tuples(_DELAYS, _CAPACITIES), max_size=3),
+    )
+    def test_at_most_one_live_event(self, jobs, resizes):
+        sim = Simulator()
+        loop = sim.loop
+        server = WaterfillServer(sim, capacity=4.0)
+        drivers = set()
+        for delay, work, cap in jobs:
+            gen = server.submit(work, cap)
+            drivers.add(loop.schedule_at(delay, lambda ev, g=gen: next(g)))
+        for delay, capacity in resizes:
+            drivers.add(loop.schedule_at(
+                delay, lambda ev, c=capacity: server.set_capacity(c)))
+        fired = 0
+        while loop.step():
+            live = [entry[2] for entry in loop._heap
+                    if not entry[2].cancelled and entry[2] not in drivers]
+            assert len(live) == (1 if server.active_jobs else 0)
+            fired += 1
+        # One driver event per submit and resize, one completion per job.
+        assert fired == len(jobs) * 2 + len(resizes)
