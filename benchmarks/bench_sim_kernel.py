@@ -28,6 +28,12 @@ document (written to ``BENCH_sim_kernel.json`` at the repo root):
   per completion, a deterministic count.  The server arms one pending
   event, so that count is ~2 (one per re-plan); re-arming every job on
   every re-plan would make it ~2n.  Must be <= 3;
+* ``dispatch`` — the process layer's per-event cost: microseconds per
+  ``Timeout`` round trip (schedule, fire, resume) across
+  ``DISPATCH_PROCESSES`` processes sleeping in lockstep, and per
+  ``WaitEvent`` hand-off in a ping-pong of the same number of processes
+  in pairs.  Each round trip and each hand-off must cost exactly one
+  scheduled event (``events_per_timeout``, ``events_per_handoff``);
 * ``fig2_mini`` — a short serial ASDB core sweep timed end to end
   (``points_per_second`` is the number the perf-smoke regression check
   tracks across commits).
@@ -59,7 +65,7 @@ from repro.hardware.counters import (
     SSD_WRITE_BYTES,
 )
 from repro.sim.events import EventLoop
-from repro.sim.process import Simulator
+from repro.sim.process import Simulator, Timeout
 from repro.sim.randomness import weighted_cdf, weighted_index
 from repro.sim.waterfill import WaterfillServer
 from repro.units import MIB
@@ -79,6 +85,8 @@ WATERFILL_SUBMITS = 5_000
 WATERFILL_BURST = 60        # jobs at t=0; ~100 active on average
 WATERFILL_CAPACITY = 32.0
 WATERFILL_CAPS = (1.0, 2.0, 4.0, 8.0, 1.0, 16.0)
+DISPATCH_PROCESSES = 128
+DISPATCH_ROUNDS = 400
 
 
 def _best_of(repeats, fn):
@@ -326,6 +334,60 @@ def bench_waterfill():
     }
 
 
+def _timeouts(loop_cls=EventLoop):
+    """``DISPATCH_PROCESSES`` processes each sleep ``DISPATCH_ROUNDS``
+    equal Timeouts, so every instant is a same-time tie."""
+    sim = Simulator()
+    sim.loop = loop_cls()
+
+    def sleeper():
+        for _ in range(DISPATCH_ROUNDS):
+            yield Timeout(0.001)
+
+    sim.spawn_many([sleeper() for _ in range(DISPATCH_PROCESSES)])
+    sim.run()
+    return sim.loop
+
+
+def _pingpong(loop_cls=EventLoop):
+    """Pairs of processes pass a ball back and forth through WaitEvents."""
+    sim = Simulator()
+    sim.loop = loop_cls()
+
+    def player(gates, me):
+        for _ in range(DISPATCH_ROUNDS):
+            yield gates[me]
+            gates[me] = sim.event()
+            gates[1 - me].trigger()
+
+    players = []
+    for _ in range(DISPATCH_PROCESSES // 2):
+        gates = [sim.event(), sim.event()]
+        players += [player(gates, 0), player(gates, 1)]
+        gates[0].trigger()
+    sim.spawn_many(players)
+    sim.run()
+    return sim.loop
+
+
+def bench_dispatch():
+    """Per-event cost of Timeout round trips and WaitEvent hand-offs."""
+    round_trips = DISPATCH_PROCESSES * DISPATCH_ROUNDS
+    timeout_seconds = _best_of(3, _timeouts)
+    handoff_seconds = _best_of(3, _pingpong)
+    # Start-ups go through one schedule_batch, which is not counted.
+    timeout_events = _timeouts(_CountingLoop).scheduled
+    handoff_events = _pingpong(_CountingLoop).scheduled
+    return {
+        "processes": DISPATCH_PROCESSES,
+        "rounds": DISPATCH_ROUNDS,
+        "timeout_us": round(timeout_seconds / round_trips * 1e6, 3),
+        "handoff_us": round(handoff_seconds / round_trips * 1e6, 3),
+        "events_per_timeout": round(timeout_events / round_trips, 3),
+        "events_per_handoff": round(handoff_events / round_trips, 3),
+    }
+
+
 def bench_fig2_mini(duration_scale):
     """End-to-end serial guard: a short ASDB core sweep (the Fig 2 path)."""
     configs = list(core_sweep("asdb", 2000, duration_scale=duration_scale))
@@ -347,13 +409,14 @@ def run_kernel_study(duration_scale):
         "events": bench_events(),
         "weighted_draw": bench_weighted_draw(),
         "waterfill": bench_waterfill(),
+        "dispatch": bench_dispatch(),
         "fig2_mini": bench_fig2_mini(duration_scale * 0.5),
     }
 
 
 def check_report(report):
     """Acceptance bars for the vectorized kernel, the weighted draw and
-    the core pool's event economy."""
+    the event economy of the core pool and of process dispatch."""
     mrc = report["mrc"]
     assert mrc["speedup"] >= 2.0, (
         f"mpki_array only {mrc['speedup']}x faster than scalar mpki"
@@ -381,6 +444,12 @@ def check_report(report):
         f"per completion — the core pool must arm one event per re-plan, "
         f"not one per active job"
     )
+    dispatch = report["dispatch"]
+    for kind in ("timeout", "handoff"):
+        assert dispatch[f"events_per_{kind}"] <= 1.0, (
+            f"{dispatch[f'events_per_{kind}']} events scheduled per {kind} "
+            f"— a process wake-up must cost exactly one event"
+        )
 
 
 def test_sim_kernel(benchmark, emit, duration_scale):

@@ -107,13 +107,14 @@ class WriteAheadLog:
         self.total_log_bytes += log_bytes
         self._pending_bytes += log_bytes
         self._pending_records.append(record)
-        gate = self._sim.event()
+        gate = WaitEvent(self._sim)
         self._waiters.append(gate)
         if self._pending_bytes >= self.batch_bytes:
             self._start_flush()
         elif not self._flusher_armed and not self._flush_in_progress:
             self._flusher_armed = True
-            self._sim.loop.schedule_after(self.flush_interval, self._on_timer)
+            loop = self._sim.loop
+            loop.schedule_at(loop.now + self.flush_interval, self._on_timer)
         yield gate
         return record.lsn
 

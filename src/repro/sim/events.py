@@ -12,8 +12,10 @@ fluid servers (:class:`~repro.sim.waterfill.WaterfillServer`,
 completion event each, so a re-plan cancels at most one entry and no
 longer floods the heap.  Timers (grant-wait timeouts, token-bucket
 refills) still cancel wakeups, so the loop counts live cancellations and
-*compacts* — rebuilds and re-heapifies the live entries — once corpses
-outnumber half the heap.
+*compacts* — rebuilds and re-heapifies the live entries, in place — once
+corpses outnumber half the heap.  Only :meth:`Event.cancel` makes
+corpses, so only it checks; when compaction runs cannot change firing
+order, because ``(time, seq)`` is a total order.
 :meth:`EventLoop.schedule_batch` amortizes bulk scheduling (N client
 start-ups, a tick train) into one heapify instead of N pushes where that
 is cheaper.
@@ -21,8 +23,9 @@ is cheaper.
 
 from __future__ import annotations
 
-import heapq
 import itertools
+import math
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -43,13 +46,19 @@ class Event:
 
     __slots__ = ("time", "callback", "payload", "cancelled", "fired", "_loop")
 
-    def __init__(self, time: float, callback: Callable[["Event"], None], payload: Any = None):
+    def __init__(
+        self,
+        time: float,
+        callback: Callable[["Event"], None],
+        payload: Any = None,
+        loop: Optional["EventLoop"] = None,
+    ):
         self.time = time
         self.callback = callback
         self.payload = payload
         self.cancelled = False
         self.fired = False
-        self._loop: Optional["EventLoop"] = None
+        self._loop = loop
 
     def cancel(self) -> None:
         """Prevent this event from firing.  Idempotent."""
@@ -79,15 +88,11 @@ class EventLoop:
     def __init__(self) -> None:
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
-        self._now = 0.0
+        #: Current simulation time in seconds; only the loop advances it.
+        self.now = 0.0
         self._running = False
         self._cancelled = 0    # cancelled events still sitting in the heap
         self.compactions = 0   # lifetime compaction sweeps (observability)
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
 
     def __len__(self) -> int:
         """Heap entries, including not-yet-collected cancelled ones."""
@@ -95,20 +100,18 @@ class EventLoop:
 
     def schedule_at(self, time: float, callback: Callable[[Event], None], payload: Any = None) -> Event:
         """Schedule *callback* to fire at absolute simulation time *time*."""
-        if time < self._now:
-            raise SimulationError(f"cannot schedule event in the past: {time} < {self._now}")
-        event = Event(time, callback, payload)
-        event._loop = self
-        heapq.heappush(self._heap, (time, self._seq, event))
+        if time < self.now:
+            raise SimulationError(f"cannot schedule event in the past: {time} < {self.now}")
+        event = Event(time, callback, payload, self)
+        heappush(self._heap, (time, self._seq, event))
         self._seq += 1
-        self._maybe_compact()
         return event
 
     def schedule_after(self, delay: float, callback: Callable[[Event], None], payload: Any = None) -> Event:
         """Schedule *callback* to fire *delay* seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.schedule_at(self._now + delay, callback, payload)
+        return self.schedule_at(self.now + delay, callback, payload)
 
     def schedule_batch(
         self,
@@ -119,17 +122,16 @@ class EventLoop:
         Equivalent to ``schedule_at`` per entry — same FIFO tie-breaking,
         in iteration order — but amortized: the loop-invariant lookups
         (clock, sequence counter, heap) are hoisted out of the per-entry
-        path, the compaction check runs once per batch instead of once
-        per entry, and a batch larger than the live heap is folded in
-        with one O(n) heapify instead of per-entry pushes.
+        path, and a batch larger than the live heap is folded in with one
+        O(n) heapify instead of per-entry pushes.
         """
         events = list(itertools.starmap(Event, entries))
         if not events:
             return events
         earliest = min(event.time for event in events)
-        if earliest < self._now:
+        if earliest < self.now:
             raise SimulationError(
-                f"cannot schedule event in the past: {earliest} < {self._now}"
+                f"cannot schedule event in the past: {earliest} < {self.now}"
             )
         for event in events:
             event._loop = self
@@ -140,46 +142,45 @@ class EventLoop:
         heap = self._heap
         if len(staged) > len(heap):
             heap.extend(staged)
-            heapq.heapify(heap)
+            heapify(heap)
         else:
-            push = heapq.heappush
             for entry in staged:
-                push(heap, entry)
-        self._maybe_compact()
+                heappush(heap, entry)
         return events
 
     def _note_cancelled(self) -> None:
+        """Count a corpse; purge them all once they dominate the heap."""
         self._cancelled += 1
-        self._maybe_compact()
-
-    def _maybe_compact(self) -> None:
-        """Purge cancelled entries once they dominate the heap."""
+        heap = self._heap
         if (
             self._cancelled > COMPACT_MIN_CANCELLED
-            and self._cancelled > COMPACT_FRACTION * len(self._heap)
+            and self._cancelled > COMPACT_FRACTION * len(heap)
         ):
-            self._heap = [e for e in self._heap if not e[2].cancelled]
-            heapq.heapify(self._heap)
+            # In place: :meth:`run` holds the heap list across callbacks.
+            heap[:] = [entry for entry in heap if not entry[2].cancelled]
+            heapify(heap)
             self._cancelled = 0
             self.compactions += 1
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending (non-cancelled) event, or ``None``."""
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heappop(heap)
             self._cancelled -= 1
-        if not self._heap:
+        if not heap:
             return None
-        return self._heap[0][0]
+        return heap[0][0]
 
     def step(self) -> bool:
         """Fire the next pending event.  Returns ``False`` if none remain."""
-        while self._heap:
-            time, _, event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            time, _, event = heappop(heap)
             if event.cancelled:
                 self._cancelled -= 1
                 continue
-            self._now = time
+            self.now = time
             event.fired = True
             event.callback(event)
             return True
@@ -190,19 +191,29 @@ class EventLoop:
 
         When *until* is given the clock is advanced to exactly *until* at
         the end of the run, even if the last event fired earlier.
+
+        The heap head is read inline rather than through
+        :meth:`peek_time`, but every event still fires through one
+        :meth:`step` call (bound once, at run start), so a wrapper
+        installed on ``step`` before the run sees every event.
         """
         if self._running:
             raise SimulationError("event loop is not reentrant")
         self._running = True
+        step = self.step
+        heap = self._heap
+        limit = math.inf if until is None else until
         try:
-            while True:
-                next_time = self.peek_time()
-                if next_time is None:
+            while heap:
+                head = heap[0]
+                if head[2].cancelled:
+                    heappop(heap)
+                    self._cancelled -= 1
+                elif head[0] > limit:
                     break
-                if until is not None and next_time > until:
-                    break
-                self.step()
-            if until is not None and until > self._now:
-                self._now = until
+                else:
+                    step()
+            if until is not None and until > self.now:
+                self.now = until
         finally:
             self._running = False

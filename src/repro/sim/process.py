@@ -37,6 +37,8 @@ class WaitEvent:
     optional value.
     """
 
+    __slots__ = ("_sim", "_triggered", "_value", "_waiters")
+
     def __init__(self, simulator: "Simulator"):
         self._sim = simulator
         self._triggered = False
@@ -57,30 +59,45 @@ class WaitEvent:
             raise SimulationError("WaitEvent triggered twice")
         self._triggered = True
         self._value = value
-        waiters, self._waiters = self._waiters, []
-        for proc in waiters:
-            self._sim.loop.schedule_after(0.0, lambda ev, p=proc: p._resume(value))
-
-    def _add_waiter(self, proc: "Process") -> None:
-        self._waiters.append(proc)
+        waiters = self._waiters
+        if waiters:
+            self._waiters = []
+            loop = self._sim.loop
+            now = loop.now
+            for proc in waiters:
+                loop.schedule_at(now, proc._wake, value)
 
 
 class Process:
-    """A running generator, driven by the simulator's event loop."""
+    """A running generator, driven by the simulator's event loop.
+
+    Every wake-up — start, Timeout expiry, WaitEvent trigger, join — is
+    an event whose callback is the bound :meth:`_resume`, kept in
+    ``_wake``, and whose payload is the value sent into the generator.
+    """
 
     def __init__(self, simulator: "Simulator", generator: Generator, name: str = "proc"):
         self._sim = simulator
+        self._loop = simulator.loop
         self._gen = generator
         self.name = name
         self.alive = True
         self.result: Any = None
         self.error: Optional[BaseException] = None
-        self._done = WaitEvent(simulator)
+        # Created on first use: most processes are never joined.
+        self._done: Optional[WaitEvent] = None
+        self._returned = False
+        self._wake = self._resume
 
     @property
     def done(self) -> WaitEvent:
         """WaitEvent that triggers (with the return value) on termination."""
-        return self._done
+        done = self._done
+        if done is None:
+            done = self._done = WaitEvent(self._sim)
+            if self._returned:
+                done.trigger(self.result)
+        return done
 
     @property
     def failed(self) -> bool:
@@ -88,17 +105,21 @@ class Process:
         return self.error is not None
 
     def _start(self) -> None:
-        self._sim.loop.schedule_after(0.0, lambda ev: self._resume(None))
+        loop = self._loop
+        loop.schedule_at(loop.now, self._wake)
 
-    def _resume(self, value: Any) -> None:
+    def _resume(self, event) -> None:
+        """Event callback: send the event's payload into the generator."""
         if not self.alive:
             return
         try:
-            command = self._gen.send(value)
+            command = self._gen.send(event.payload)
         except StopIteration as stop:
             self.alive = False
             self.result = stop.value
-            self._done.trigger(stop.value)
+            self._returned = True
+            if self._done is not None:
+                self._done.trigger(stop.value)
             return
         except BaseException as exc:
             # Record which process died before the exception unwinds the
@@ -110,16 +131,20 @@ class Process:
                 f"raised in simulation process {self.name!r}"
             ]
             raise
-        self._dispatch(command)
+        if type(command) is Timeout:
+            loop = self._loop
+            loop.schedule_at(loop.now + command.delay, self._wake)
+        else:
+            self._dispatch(command)
 
     def _dispatch(self, command: Any) -> None:
-        if isinstance(command, Timeout):
-            self._sim.loop.schedule_after(command.delay, lambda ev: self._resume(None))
-        elif isinstance(command, WaitEvent):
-            if command.triggered:
-                self._sim.loop.schedule_after(0.0, lambda ev: self._resume(command.value))
+        """Park on a yielded WaitEvent or Process (``_resume`` arms Timeouts)."""
+        if isinstance(command, WaitEvent):
+            if command._triggered:
+                loop = self._loop
+                loop.schedule_at(loop.now, self._wake, command._value)
             else:
-                command._add_waiter(self)
+                command._waiters.append(self)
         elif isinstance(command, Process):
             self._dispatch(command.done)
         else:
@@ -174,9 +199,7 @@ class Simulator:
             for index, gen in enumerate(generators)
         ]
         now = self.loop.now
-        self.loop.schedule_batch(
-            (now, lambda ev, p=proc: p._resume(None), None) for proc in procs
-        )
+        self.loop.schedule_batch((now, proc._wake, None) for proc in procs)
         return procs
 
     def event(self) -> WaitEvent:

@@ -69,15 +69,18 @@ class FcfsServer:
 
     def acquire(self) -> Generator:
         """Generator: suspends until a server slot is free."""
-        start = self._sim.now
         if self._in_use < self.capacity and not self._queue:
+            # Uncontended: no wait, so no clock read and nothing to add
+            # to ``total_wait_time``.
             self._in_use += 1
         else:
-            gate = self._sim.event()
+            loop = self._sim.loop
+            start = loop.now
+            gate = WaitEvent(self._sim)
             self._queue.append(gate)
             yield gate
             self._in_use += 1
-        self.total_wait_time += self._sim.now - start
+            self.total_wait_time += loop.now - start
         self.total_acquisitions += 1
         return None
 

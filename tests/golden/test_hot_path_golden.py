@@ -8,8 +8,10 @@ performance-tuned, so this module pins sha256 digests of short
 end-to-end runs that go through every weighted-draw call site and every
 core-pool re-plan trigger:
 
-* three closed-loop points (OLTP client loop): an ASDB core point, a
-  TPC-E LLC point and an HTAP point — digest of the pickled
+* four closed-loop points (OLTP client loop): an ASDB core point, an
+  ASDB point under a 50 MB/s cgroup write cap (WAL flushes through a
+  capped token bucket, checkpoint back-pressure), a TPC-E LLC point and
+  an HTAP point — digest of the pickled
   :class:`~repro.core.measurement.Measurement` (protocol 4);
 * two TPC-H points on the core pool, same digest: a MAXDOP 4 point on
   32 cores, where the DOP > 1 rate caps bind in ``waterfill()``, and a
@@ -18,7 +20,9 @@ core-pool re-plan trigger:
 * one fleet run with a rate-limited tenant, autoscaling and a diurnal
   trace (fleet arrivals, thinning and placement) — ``FleetReport.digest``;
 * one multi-tenant :class:`~repro.workloads.arrivals.OpenLoopDriver` run
-  on a diurnal trace — digest of the pickled ``OpenLoopResult``.
+  on a diurnal trace — digest of the pickled ``OpenLoopResult``;
+* one seeded chaos failover run (process joins, wait-event fan-out and
+  interrupts in the replica group) — ``ChaosReport.digest``.
 
 Any change to the draw sequence, the placement order or the simulated
 outcome moves a digest.  Regenerate the constants only for a change that
@@ -39,8 +43,9 @@ from repro.core.experiment import Experiment, ExperimentConfig
 from repro.core.knobs import ResourceAllocation
 from repro.engine.engine import SqlEngine
 from repro.engine.resource_governor import ResourceGovernor
-from repro.fleet.autoscale import AutoscalePolicy
+from repro.faults.chaos import ChaosConfig, run_chaos
 from repro.faults.spec import CoreOffline
+from repro.fleet.autoscale import AutoscalePolicy
 from repro.fleet.cluster import FleetSpec, default_tenants, run_fleet
 from repro.hardware.machine import Machine
 from repro.workloads.arrivals import ArrivalSpec, OpenLoopDriver, TenantTraffic
@@ -50,6 +55,10 @@ POINTS = {
     "asdb-cores": ExperimentConfig(
         workload="asdb", scale_factor=2000,
         allocation=ResourceAllocation(logical_cores=8), duration=0.6),
+    "asdb-writecap": ExperimentConfig(
+        workload="asdb", scale_factor=2000,
+        allocation=ResourceAllocation(logical_cores=8, write_bw_limit=50e6),
+        duration=0.6),
     "tpce-llc": ExperimentConfig(
         workload="tpce", scale_factor=5000,
         allocation=ResourceAllocation(logical_cores=32, llc_mb=12),
@@ -71,6 +80,8 @@ POINTS = {
 GOLDEN_POINTS = {
     "asdb-cores":
         "ef376dda092a4bc933cbf8ebe6d5e6a63483c90f4fd18a9709069f621a1bde82",
+    "asdb-writecap":
+        "a858741252f7b5b67705bcdb4e4549735c7739f93b7b8022d2b259b6f169b08c",
     "tpce-llc":
         "690dc7efe3025bba07299ce78bfa8bfe112253c37b818dff44d705ca00456f05",
     "htap":
@@ -86,6 +97,9 @@ GOLDEN_FLEET = (
 
 GOLDEN_OPEN_LOOP = (
     "99c34a7e6ff3f00a4eb962f12fa47c3a557500f1535121b67ea78c5256ce7f0e")
+
+GOLDEN_CHAOS = (
+    "36551450fce6e23e9385597602f58ac09571e1a294dcfeb9a64c968af9cc2031")
 
 
 def point_digest(name: str) -> str:
@@ -106,6 +120,11 @@ def fleet_digest() -> str:
         autoscale=AutoscalePolicy(min_shards=2, max_shards=4, cooldown_s=0.5),
     )
     return run_fleet(spec).digest()
+
+
+def chaos_digest() -> str:
+    return run_chaos(ChaosConfig(seed=1, scenario="failover",
+                                 duration=2.0)).digest
 
 
 def open_loop_digest() -> str:
@@ -140,8 +159,13 @@ def test_open_loop_driver_digest():
     assert open_loop_digest() == GOLDEN_OPEN_LOOP
 
 
+def test_chaos_failover_digest():
+    assert chaos_digest() == GOLDEN_CHAOS
+
+
 if __name__ == "__main__":
     for point in sorted(POINTS):
         print(f"{point!r}: {point_digest(point)!r},")
     print(f"GOLDEN_FLEET = {fleet_digest()!r}")
     print(f"GOLDEN_OPEN_LOOP = {open_loop_digest()!r}")
+    print(f"GOLDEN_CHAOS = {chaos_digest()!r}")
