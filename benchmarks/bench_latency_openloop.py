@@ -10,28 +10,28 @@ from repro.core.report import format_table
 from repro.engine.engine import SqlEngine
 from repro.engine.resource_governor import ResourceGovernor
 from repro.hardware.machine import Machine
-from repro.workloads.arrivals import OpenLoopDriver
+from repro.workloads.arrivals import latency_curve
 from repro.workloads.asdb import AsdbWorkload
 
 RATES = (200, 800, 1400, 1700)
 
 
+def full_machine_engine(workload):
+    machine = Machine()
+    ResourceAllocation().apply_to(machine)
+    return SqlEngine(
+        machine, workload.database, workload.execution_characteristics(),
+        governor=ResourceGovernor(), **workload.engine_parameters(),
+    )
+
+
 def test_openloop_latency_knee(benchmark, emit):
     def run():
-        rows = []
-        for rate in RATES:
-            workload = AsdbWorkload(2000, clients=1)
-            machine = Machine()
-            ResourceAllocation().apply_to(machine)
-            engine = SqlEngine(
-                machine, workload.database,
-                workload.execution_characteristics(),
-                governor=ResourceGovernor(), **workload.engine_parameters(),
-            )
-            result = OpenLoopDriver(workload, engine, offered_tps=rate).run(8.0)
-            rows.append((rate, result.completed_tps, result.percentile_ms(50),
-                         result.percentile_ms(99)))
-        return rows
+        results = latency_curve(lambda: AsdbWorkload(2000, clients=1),
+                                full_machine_engine, list(RATES), duration=8.0)
+        return [(rate, result.completed_tps, result.percentile_ms(50),
+                 result.percentile_ms(99))
+                for rate, result in zip(RATES, results)]
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     emit(
         "Open-loop ASDB operating curve (full machine)",

@@ -16,7 +16,7 @@ from repro.core.report import format_table
 from repro.engine.engine import SqlEngine
 from repro.engine.resource_governor import ResourceGovernor
 from repro.hardware.machine import Machine
-from repro.workloads.arrivals import OpenLoopDriver
+from repro.workloads.arrivals import latency_curve
 from repro.workloads.asdb import AsdbWorkload
 
 SLO_P99_MS = 120.0
@@ -35,10 +35,10 @@ def engine_for(allocation: ResourceAllocation, workload) -> SqlEngine:
 def operating_curve(allocation: ResourceAllocation, label: str):
     rows = []
     best = None
-    for rate in RATES:
-        workload = AsdbWorkload(2000, clients=1)
-        engine = engine_for(allocation, workload)
-        result = OpenLoopDriver(workload, engine, offered_tps=rate).run(10.0)
+    results = latency_curve(lambda: AsdbWorkload(2000, clients=1),
+                            lambda workload: engine_for(allocation, workload),
+                            RATES, duration=10.0)
+    for rate, result in zip(RATES, results):
         p99 = result.percentile_ms(99)
         ok = p99 <= SLO_P99_MS and result.dropped == 0
         if ok:

@@ -24,7 +24,6 @@ from repro.core.analysis import (
     LinearComparison,
     linear_response_comparison,
     speedup_series,
-    sufficient_allocation,
     wait_ratio_table,
 )
 from repro.core.experiment import ExperimentConfig
@@ -252,42 +251,6 @@ TABLE4_PAPER = {
     ("tpch", 10): (10, 14), ("tpch", 30): (10, 16),
     ("tpch", 100): (16, 22), ("tpch", 300): (12, 12),
 }
-
-
-@dataclass(frozen=True)
-class Table4Row:
-    workload: str
-    scale_factor: int
-    mb_for_90: Optional[float]
-    mb_for_95: Optional[float]
-    paper_mb_for_90: int
-    paper_mb_for_95: int
-
-
-def table4(
-    matrix: Tuple[Tuple[str, int], ...] = STUDY_MATRIX,
-    sizes_mb: Tuple[int, ...] = LLC_SWEEP_MB,
-    duration_scale: float = 1.0,
-    jobs: int = 1, cache: Optional[ResultCache] = None,
-) -> List[Table4Row]:
-    """Sufficient LLC capacity for >=90% / >=95% performance (32 cores)."""
-    rows: List[Table4Row] = []
-    for workload, sf in matrix:
-        series = fig2_llc(workload, sf, sizes_mb=sizes_mb,
-                          duration_scale=duration_scale,
-                          jobs=jobs, cache=cache)
-        paper90, paper95 = TABLE4_PAPER[(workload, sf)]
-        rows.append(
-            Table4Row(
-                workload=workload,
-                scale_factor=sf,
-                mb_for_90=sufficient_allocation(series.xs, series.performance, 0.90),
-                mb_for_95=sufficient_allocation(series.xs, series.performance, 0.95),
-                paper_mb_for_90=paper90,
-                paper_mb_for_95=paper95,
-            )
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,13 @@ past capacity.  The pieces:
   replication) on one shared simulator clock, exactly the way chaos
   fleets are built.
 * **Tenants.**  Open-loop arrivals (:mod:`repro.workloads.arrivals`
-  traces: diurnal / MMPP burst / flash-crowd) are attributed to weighted
-  :class:`TenantSpec` tenants with priorities and p99 SLOs.
-* **Governance.**  A per-tenant token bucket (lazy sim-clock refill, the
-  :class:`~repro.fleet.hedging.RetryBudget` construction) caps governed
+  traces: diurnal / MMPP burst / flash-crowd, drawn by the same
+  :func:`~repro.workloads.arrivals.open_loop_arrivals` generator as the
+  single-engine driver) are attributed to weighted :class:`TenantSpec`
+  tenants with priorities and p99 SLOs.
+* **Governance.**  A per-tenant :class:`~repro.sim.resources.TokenBucket`
+  (lazy sim-clock refill, taken with the non-blocking
+  :meth:`~repro.sim.resources.TokenBucket.try_take`) caps governed
   tenants at their purchased rate *before* the engines see the traffic —
   layered on top of the per-engine RESOURCE_SEMAPHORE, which keeps
   doing per-query memory admission underneath.
@@ -45,8 +48,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.backends import DEFAULT_ROUTER_BACKENDS, make_backend
 from repro.core.knobs import ResourceAllocation
 from repro.errors import ConfigurationError, FaultInjectionError
@@ -55,10 +56,11 @@ from repro.fleet.health import FailoverController, HeartbeatMonitor
 from repro.fleet.replicas import Replica, ReplicaGroup
 from repro.hardware.machine import Machine, MachineSpec
 from repro.sim.process import Simulator, Timeout
-from repro.sim.randomness import RandomStreams, weighted_cdf, weighted_index
+from repro.sim.randomness import RandomStreams
+from repro.sim.resources import TokenBucket
 from repro.sim.stats import Cdf
 from repro.workloads import make_workload
-from repro.workloads.arrivals import ArrivalSpec
+from repro.workloads.arrivals import ArrivalSpec, open_loop_arrivals
 
 #: Priority-shedding watermarks: the admission fraction of shard
 #: capacity available to priority *p* is ``max(FLOOR, 1 - STEP * p)``.
@@ -151,31 +153,6 @@ class FleetSpec:
         names = [t.name for t in self.tenants]
         if len(set(names)) != len(names):
             raise ConfigurationError("tenant names must be unique")
-
-
-class _TokenBucket:
-    """Per-tenant governance bucket: lazy sim-clock refill (the
-    :class:`~repro.fleet.hedging.RetryBudget` construction, one bucket
-    per governed tenant so rates differ)."""
-
-    def __init__(self, sim: Simulator, rate_tps: float, capacity: float):
-        self._sim = sim
-        self.rate = rate_tps
-        self.capacity = capacity
-        self._tokens = capacity
-        self._at = sim.now
-        self.denied = 0
-
-    def try_spend(self) -> bool:
-        now = self._sim.now
-        self._tokens = min(self.capacity,
-                           self._tokens + (now - self._at) * self.rate)
-        self._at = now
-        if self._tokens < 1.0:
-            self.denied += 1
-            return False
-        self._tokens -= 1.0
-        return True
 
 
 class _Shard:
@@ -418,20 +395,22 @@ class FleetCluster:
         for _ in range(spec.shards):
             self._build_shard(ready_at=0.0)
         # -- tenant state --------------------------------------------------------
-        weights = np.array([t.weight for t in spec.tenants], dtype=float)
-        self._tenant_cdf = weighted_cdf(weights / weights.sum())
         #: Admission bound per priority class (the capacity is fixed for
         #: the cluster's lifetime, so each class's watermark is too).
         self._watermarks: Dict[int, int] = {
             t.priority: priority_watermark(t.priority, self.capacity_per_shard)
             for t in spec.tenants
         }
-        self._buckets: Dict[str, _TokenBucket] = {}
+        self._buckets: Dict[str, TokenBucket] = {}
         for tenant in spec.tenants:
             if tenant.rate_limit_tps > 0:
                 capacity = tenant.burst_allowance or 2.0 * tenant.rate_limit_tps
-                self._buckets[tenant.name] = _TokenBucket(
-                    self.sim, tenant.rate_limit_tps, capacity)
+                self._buckets[tenant.name] = TokenBucket(
+                    self.sim, tenant.rate_limit_tps, burst=capacity,
+                    name=f"governance-{tenant.name}")
+        #: The shard the last admitted arrival was placed on (set by
+        #: :meth:`_admit`, consumed by :meth:`_spawn`).
+        self._placed: Optional[_Shard] = None
         self.arrivals = 0
         self.completed = 0
         self.latencies = Cdf()
@@ -544,44 +523,42 @@ class FleetCluster:
     # -- traffic -----------------------------------------------------------------
 
     def _arrivals_proc(self, until: float) -> Generator:
-        spec = self.spec
+        """The fleet's arrival process: the shared open-loop generator on
+        the fleet's RNG streams and trace, admitting through
+        :meth:`_admit`."""
+        arrival = self.spec.arrival
         rng = self.streams.get("arrivals")
-        trace_rng = self.streams.get("arrivals.trace")
-        trace = spec.arrival.build_trace(until, trace_rng)
-        offered = spec.arrival.offered_tps
-        deterministic = spec.arrival.trace == "deterministic"
-        peak = trace.peak_rate() if trace is not None else offered
-        types = self.workload.transaction_types()
-        type_weights = np.array([t.weight for t in types], dtype=float)
-        type_cdf = weighted_cdf(type_weights / type_weights.sum())
-        tenants = spec.tenants
-        while self.sim.now < until:
-            gap = (1.0 / offered if deterministic
-                   else float(rng.exponential(1.0 / peak)))
-            yield Timeout(gap)
-            if self.sim.now >= until:
-                break
-            if trace is not None:
-                if rng.random() * peak > trace.rate_at(self.sim.now):
-                    continue
-            tenant = tenants[weighted_index(rng, self._tenant_cdf)]
-            self.arrivals += 1
-            self.tenant_arrivals[tenant.name] += 1
-            bucket = self._buckets.get(tenant.name)
-            if bucket is not None and not bucket.try_spend():
-                self.tenant_governed[tenant.name] += 1
-                continue
-            shard = self._place(tenant.priority)
-            if shard is None:
-                self._shed(tenant)
-                continue
-            txn_type = types[weighted_index(rng, type_cdf)]
-            demand = self.workload.build_demand(shard.engine, txn_type, rng)
-            shard.in_flight += 1
-            shard.in_flight_peak = max(shard.in_flight_peak, shard.in_flight)
-            self.sim.spawn(self._execute(shard, tenant, demand),
-                           name=f"fleet-txn-{shard.index}")
-        return None
+        trace = arrival.build_trace(until, self.streams.get("arrivals.trace"))
+        return open_loop_arrivals(
+            self.sim, rng, self.workload, until, arrival.offered_tps,
+            self._admit, self._spawn, trace=trace,
+            deterministic=arrival.trace == "deterministic",
+            tenants=self.spec.tenants,
+        )
+
+    def _admit(self, tenant: TenantSpec):
+        """Count the arrival, then govern and place it: the engine of the
+        chosen shard, or None when the tenant's bucket is empty
+        (governed) or no shard admits its priority (shed)."""
+        self.arrivals += 1
+        self.tenant_arrivals[tenant.name] += 1
+        bucket = self._buckets.get(tenant.name)
+        if bucket is not None and not bucket.try_take():
+            self.tenant_governed[tenant.name] += 1
+            return None
+        shard = self._place(tenant.priority)
+        if shard is None:
+            self._shed(tenant)
+            return None
+        self._placed = shard
+        return shard.engine
+
+    def _spawn(self, demand, tenant: TenantSpec) -> None:
+        shard = self._placed
+        shard.in_flight += 1
+        shard.in_flight_peak = max(shard.in_flight_peak, shard.in_flight)
+        self.sim.spawn(self._execute(shard, tenant, demand),
+                       name=f"fleet-txn-{shard.index}")
 
     def _shed(self, tenant: TenantSpec) -> None:
         self.tenant_sheds[tenant.name] += 1

@@ -9,10 +9,11 @@ Three guards keep hedging from amplifying the very overload it is meant
 to hide, composing with the PR 3 admission layer rather than fighting
 it:
 
-* **retry budgets** — a per-tenant token bucket
-  (:class:`RetryBudget`); once a tenant exhausts its budget, its hedges
-  are denied and only primaries run, so a tail blowup degrades to
-  baseline latency instead of doubling fleet load;
+* **retry budgets** — a per-tenant
+  :class:`~repro.sim.resources.TokenBucket` (:class:`RetryBudget`), the
+  same bucket class that governs fleet tenants; once a tenant exhausts
+  its budget, its hedges are denied and only primaries run, so a tail
+  blowup degrades to baseline latency instead of doubling fleet load;
 * **brownout-aware shedding** — a hedge is shed (never launched) when
   the candidate replica's device is browned out
   (:attr:`~repro.hardware.storage.NvmeDevice.browned_out`) or its
@@ -32,6 +33,7 @@ from repro.fleet.health import HeartbeatMonitor
 from repro.fleet.replicas import Replica, ReplicaGroup
 from repro.hardware.storage import RANDOM_READ_LATENCY
 from repro.sim.process import Simulator, Timeout
+from repro.sim.resources import TokenBucket
 from repro.sim.stats import Cdf
 from repro.units import KIB, mb_per_s
 
@@ -39,34 +41,39 @@ from repro.units import KIB, mb_per_s
 class RetryBudget:
     """Per-tenant token buckets bounding retry/hedge amplification.
 
-    Tokens refill continuously at ``refill_per_s`` up to ``capacity``;
-    every hedge (or application-level retry) spends one.  Refill is
-    computed lazily from the simulated clock, so the bucket is exact and
-    deterministic without a refill process.
+    Each tenant gets a :class:`~repro.sim.resources.TokenBucket` holding
+    up to ``capacity`` tokens and refilling at ``refill_per_s``; every
+    hedge (or application-level retry) takes one with
+    :meth:`~repro.sim.resources.TokenBucket.try_take`.  Refill is lazy on
+    the simulated clock, so the bucket is exact and deterministic without
+    a refill process.
     """
 
     def __init__(self, sim: Simulator, capacity: float = 16.0,
                  refill_per_s: float = 4.0):
-        if capacity <= 0 or refill_per_s < 0:
+        if capacity <= 0 or refill_per_s <= 0:
             raise FaultInjectionError("bad retry budget parameters")
         self._sim = sim
         self.capacity = capacity
         self.refill_per_s = refill_per_s
-        self._buckets: Dict[str, Tuple[float, float]] = {}  # tenant -> (tokens, at)
+        self._buckets: Dict[str, TokenBucket] = {}
         self.spent = 0
         self.denied = 0
 
     def tokens(self, tenant: str = "default") -> float:
-        tokens, at = self._buckets.get(tenant, (self.capacity, self._sim.now))
-        return min(self.capacity,
-                   tokens + (self._sim.now - at) * self.refill_per_s)
+        """Tokens *tenant* could spend now (a pure read)."""
+        bucket = self._buckets.get(tenant)
+        return self.capacity if bucket is None else bucket.tokens
 
     def try_spend(self, tenant: str = "default", tokens: float = 1.0) -> bool:
-        available = self.tokens(tenant)
-        if available < tokens:
+        bucket = self._buckets.get(tenant)
+        if bucket is None:
+            bucket = self._buckets[tenant] = TokenBucket(
+                self._sim, self.refill_per_s, burst=self.capacity,
+                name=f"retry-budget-{tenant}")
+        if not bucket.try_take(tokens):
             self.denied += 1
             return False
-        self._buckets[tenant] = (available - tokens, self._sim.now)
         self.spent += 1
         return True
 

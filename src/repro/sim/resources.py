@@ -8,7 +8,9 @@ need:
 * :class:`ProcessorSharingServer` — a fluid capacity shared equally among
   active jobs (used for cores and for bandwidth-shared devices),
 * :class:`TokenBucket` — a rate limiter (used for cgroup blkio read/write
-  bandwidth caps and DRAM channel limits).
+  bandwidth caps and DRAM channel limits, and, through its non-blocking
+  :meth:`~TokenBucket.try_take`, for fleet tenant governance and hedge
+  retry budgets).
 """
 
 from __future__ import annotations
@@ -194,6 +196,9 @@ class TokenBucket:
     tokens have accumulated.  With ``rate=None`` the bucket is unlimited and
     never blocks — this models an uncapped cgroup.
     Requests are served FIFO, so a large request cannot be starved.
+    ``try_take(n)`` is the non-blocking form for admission decisions: it
+    takes *n* tokens now or refuses.  Refill is lazy on the simulated
+    clock either way, so the bucket needs no refill process.
     """
 
     def __init__(
@@ -239,6 +244,23 @@ class TokenBucket:
             if not self._queue:
                 self._tokens = min(self.burst, self._tokens)
         self._last_refill = now
+
+    @property
+    def tokens(self) -> float:
+        """Tokens banked now (rate-limited buckets), read without
+        refilling: reading changes no later decision."""
+        tokens = self._tokens + self.rate * (self._sim.now - self._last_refill)
+        return tokens if self._queue else min(self.burst, tokens)
+
+    def try_take(self, n: float = 1.0) -> bool:
+        """Take *n* tokens if a rate-limited bucket holds them, else
+        refuse; never blocks.  A refusal still banks the refill up to
+        now."""
+        self._refill()
+        if self._tokens < n:
+            return False
+        self._tokens -= n
+        return True
 
     @property
     def served_bytes(self) -> float:

@@ -67,9 +67,11 @@ class TestRetryBudget:
             RetryBudget(self.sim(), capacity=0.0)
         with pytest.raises(FaultInjectionError):
             RetryBudget(self.sim(), refill_per_s=-1.0)
+        with pytest.raises(FaultInjectionError):
+            RetryBudget(self.sim(), refill_per_s=0.0)
 
     def test_spend_down_to_denial(self):
-        budget = RetryBudget(self.sim(), capacity=2.0, refill_per_s=0.0)
+        budget = RetryBudget(self.sim(), capacity=2.0, refill_per_s=1e-9)
         assert budget.try_spend()
         assert budget.try_spend()
         assert not budget.try_spend()
@@ -93,7 +95,7 @@ class TestRetryBudget:
         assert budget.tokens() == 4.0
 
     def test_tenants_are_isolated(self):
-        budget = RetryBudget(self.sim(), capacity=1.0, refill_per_s=0.0)
+        budget = RetryBudget(self.sim(), capacity=1.0, refill_per_s=1e-9)
         assert budget.try_spend("a")
         assert not budget.try_spend("a")
         assert budget.try_spend("b")
@@ -131,7 +133,7 @@ class TestHedgedReads:
     def test_budget_bounds_hedge_amplification(self):
         sim, group, reader = reader_fleet(
             budget=None)  # replaced below with a tiny bucket
-        reader.budget = RetryBudget(sim, capacity=2.0, refill_per_s=0.0)
+        reader.budget = RetryBudget(sim, capacity=2.0, refill_per_s=1e-9)
         run_reads(sim, reader, 10)
         brownout(group.primary)
         run_reads(sim, reader, 30)

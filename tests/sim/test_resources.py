@@ -1,6 +1,10 @@
 """Tests for FCFS server, processor sharing, and token bucket."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.process import Simulator, Timeout
@@ -239,3 +243,84 @@ class TestTokenBucket:
         sim = Simulator()
         with pytest.raises(SimulationError):
             TokenBucket(sim, rate=0.0)
+
+
+class _TokenBucket:
+    """Test-only oracle: the fleet's former governance bucket, which
+    :meth:`TokenBucket.try_take` replaced with the same arithmetic."""
+
+    def __init__(self, sim, rate_tps, capacity):
+        self._sim = sim
+        self.rate = rate_tps
+        self.capacity = capacity
+        self._tokens = capacity
+        self._at = sim.now
+
+    def try_spend(self):
+        now = self._sim.now
+        self._tokens = min(self.capacity,
+                           self._tokens + (now - self._at) * self.rate)
+        self._at = now
+        if self._tokens < 1.0:
+            return False
+        self._tokens -= 1.0
+        return True
+
+
+def _script(seed):
+    """A random bucket and 400 steps: (gap before the step, take or not).
+
+    Plain uniform floats rather than hypothesis' float strategy, which
+    favours round values whose refill arithmetic is exact; rates and gaps
+    are on a scale where most takes find the bucket below its cap, so
+    the refill arithmetic (not just the clamp) decides.
+    """
+    rng = random.Random(seed)
+    rate = 10 ** rng.uniform(-3.0, 2.0)
+    capacity = 10 ** rng.uniform(-1.0, 2.0)
+    steps = [(rng.uniform(0.0, 2.0) if rng.random() < 0.9 else 0.0,
+              rng.random() < 0.5)
+             for _ in range(400)]
+    return rate, capacity, steps
+
+
+_seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
+
+
+class TestTryTake:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=_seeds)
+    def test_matches_the_lazy_refill_oracle(self, seed):
+        rate, capacity, steps = _script(seed)
+        sim = SimpleNamespace(now=0.0)
+        bucket = TokenBucket(sim, rate, burst=capacity)
+        oracle = _TokenBucket(sim, rate, capacity)
+        for gap, _ in steps:
+            sim.now += gap
+            assert bucket.try_take() == oracle.try_spend()
+            assert bucket._tokens == oracle._tokens
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=_seeds, reads=st.integers(min_value=1, max_value=4))
+    def test_reading_tokens_changes_no_decision(self, seed, reads):
+        """Reads between takes, and at take instants, are pure."""
+        rate, capacity, steps = _script(seed)
+        sim = SimpleNamespace(now=0.0)
+        read = TokenBucket(sim, rate, burst=capacity)
+        untouched = TokenBucket(sim, rate, burst=capacity)
+        for gap, take in steps:
+            sim.now += gap
+            assert len({read.tokens for _ in range(reads)}) == 1
+            if take:
+                assert read.try_take() == untouched.try_take()
+                assert read._tokens == untouched._tokens
+
+    def test_refusal_then_refill(self):
+        sim = SimpleNamespace(now=0.0)
+        bucket = TokenBucket(sim, rate=2.0, burst=2.0)
+        assert bucket.try_take() and bucket.try_take()
+        assert not bucket.try_take()
+        sim.now = 0.5
+        assert bucket.tokens == 1.0
+        assert bucket.try_take(1.0)
+        assert not bucket.try_take(0.5)
